@@ -1968,9 +1968,11 @@ let serve_bench ~smoke () =
    certificate construction plus translation validation allocates zero
    tensors; and 100% of seeded plan corruptions are rejected by
    Certify, including the three execution-invisible ones that still
-   compute bit-identical outputs when run.  Emits BENCH_kernel.json;
-   the smoke variant runs inside `dune runtest` via the kernel-smoke
-   alias. *)
+   compute bit-identical outputs when run.  It also reports, without a
+   gate, the training executors (Reference.forward, Specialize.forward,
+   Reference.backward) per operator at the kernel shape and at the
+   proxy training shapes.  Emits BENCH_kernel.json; the smoke variant
+   runs inside `dune runtest` via the kernel-smoke alias. *)
 
 let kernel_bench ~smoke () =
   section
@@ -2134,6 +2136,58 @@ let kernel_bench ~smoke () =
   note "seeded plan corruptions: %d/%d rejected by Certify; %d/%d invisible faults \
         executed bit-identically"
     !rejected !seeded !invisible_identical !invisible_checked;
+  (* 4) Report only: the training executors per operator —
+     Reference.forward, the certified Specialize.forward and
+     Reference.backward — at the kernel shape and at both stage shapes
+     of the proxy training model (batch 16, 4->8 and 8->8 channels,
+     10x10). *)
+  let executor_row shape (name, staged, sp) =
+    let compiled = Staged.reference staged in
+    let rng = Nd.Rng.create ~seed:29 in
+    let input =
+      Nd.Tensor.rand_uniform rng ~lo:(-1.0) ~hi:1.0 (Lower.Reference.input_shape compiled)
+    in
+    let weights = Lower.Reference.init_weights compiled rng in
+    let grad_out =
+      Nd.Tensor.rand_uniform rng ~lo:(-1.0) ~hi:1.0 (Lower.Reference.output_shape compiled)
+    in
+    let t_ref = mean_seconds (fun () -> Lower.Reference.forward compiled ~input ~weights) in
+    let t_spec =
+      Option.map (fun sp -> mean_seconds (fun () -> Specialize.forward sp ~input ~weights)) sp
+    in
+    let t_bwd =
+      mean_seconds (fun () -> Lower.Reference.backward compiled ~input ~weights ~grad_out)
+    in
+    note "%-10s %-28s reference %8.3f ms  spec %8.3f ms  backward %8.3f ms" shape name
+      (1000.0 *. t_ref)
+      (1000.0 *. Option.value t_spec ~default:Float.nan)
+      (1000.0 *. t_bwd);
+    (shape, name, t_ref, t_spec, t_bwd)
+  in
+  let train_cases (c_in, c_out) =
+    let v = Zoo.Vars.conv_valuation ~n:16 ~c_in ~c_out ~hw:10 ~k:3 ~g:2 ~s:2 () in
+    List.filter_map
+      (fun (e : Zoo.entry) ->
+        if Option.is_none (Verify.program_opt e.Zoo.operator v) then None
+        else
+          let staged = Staged.compile e.Zoo.operator v in
+          let cert = Regions.of_staged staged in
+          Some
+            ( Printf.sprintf "train %d->%d" c_in c_out,
+              (e.Zoo.name, staged, Result.to_option (Certify.compile staged cert.Regions.rc_plan)) ))
+      Zoo.all
+  in
+  (* Bound first so the kernel-shape rows print first: [@] evaluates
+     its right operand first. *)
+  let kernel_rows =
+    List.map (fun (name, staged, _, sp) -> executor_row "kernel" (name, staged, sp)) cases
+  in
+  let executors =
+    kernel_rows
+    @ List.map
+        (fun (shape, case) -> executor_row shape case)
+        (train_cases (4, 8) @ train_cases (8, 8))
+  in
   (* Trajectory file. *)
   let oc = open_out "BENCH_kernel.json" in
   let out fmt = Printf.fprintf oc fmt in
@@ -2160,8 +2214,20 @@ let kernel_bench ~smoke () =
   out "  \"certify\": {\"allocations\": %d, \"all_specialized\": %b},\n" certify_allocs
     all_specialized;
   out "  \"faults\": {\"seeded\": %d, \"rejected\": %d, \"invisible_checked\": %d, \
-       \"invisible_identical\": %d}\n"
+       \"invisible_identical\": %d},\n"
     !seeded !rejected !invisible_checked !invisible_identical;
+  out "  \"executors\": [\n";
+  List.iteri
+    (fun i (shape, name, t_ref, t_spec, t_bwd) ->
+      out
+        "    {\"shape\": %S, \"name\": %S, \"reference_ms\": %.4f, \"spec_ms\": %.4f, \
+         \"backward_ms\": %.4f}%s\n"
+        shape name (1000.0 *. t_ref)
+        (match t_spec with Some t -> 1000.0 *. t | None -> -1.0)
+        (1000.0 *. t_bwd)
+        (if i = List.length executors - 1 then "" else ","))
+    executors;
+  out "  ]\n";
   out "}\n";
   close_out oc;
   note "wrote BENCH_kernel.json";
@@ -2329,7 +2395,7 @@ let bench_required_keys =
     ("BENCH_shard.json", [ "smoke"; "determinism"; "corrupt"; "scaling" ]);
     ("BENCH_cegis.json", [ "smoke"; "hardening"; "replay_cost"; "shard" ]);
     ("BENCH_serve.json", [ "smoke"; "cache"; "overload"; "restart"; "poison"; "drain" ]);
-    ("BENCH_kernel.json", [ "smoke"; "zoo"; "speedup"; "certify"; "faults" ]);
+    ("BENCH_kernel.json", [ "smoke"; "zoo"; "speedup"; "certify"; "faults"; "executors" ]);
   ]
 
 let bench_check () =

@@ -5,7 +5,7 @@ module Graph = Pgraph.Graph
 module Tensor = Nd.Tensor
 
 type t = {
-  reference : Reference.t;  (* reuse the compiled indexers for the gather *)
+  gather : input:Tensor.t -> Tensor.t;  (* the reference's loop nest, one cell per point *)
   op : Graph.operator;
   gather_shape : int array;
   spec : string;
@@ -36,32 +36,16 @@ let compile (op : Graph.operator) valuation =
   let plan =
     lazy (Nd.Einsum.plan spec (gather_shape :: weight_shapes))
   in
-  { reference; op; gather_shape; spec; plan; weight_shapes }
+  { gather = Reference.gatherer reference; op; gather_shape; spec; plan; weight_shapes }
 
 let spec t = t.spec
 let gather_shape t = Array.copy t.gather_shape
-
-(* The gather step: evaluate every input coordinate expression over the
-   full (output x reduction) iteration space. *)
-let gather t ~input =
-  let lookup_failure () = invalid_arg "Einsum_program.forward: input shape mismatch" in
-  if Tensor.shape input <> Reference.input_shape t.reference then lookup_failure ();
-  let g = Tensor.create t.gather_shape in
-  let g_data = Tensor.unsafe_data g in
-  let in_data = Tensor.unsafe_data input in
-  (* Reuse Reference's loop nest: it enumerates (output, reduction)
-     pairs in row-major order matching [gather_shape]. *)
-  let pos = ref 0 in
-  Reference.iter_points t.reference (fun off ->
-      if off >= 0 then g_data.(!pos) <- in_data.(off);
-      incr pos);
-  g
 
 let forward t ~input ~weights =
   List.iter2
     (fun w sh -> if Tensor.shape w <> sh then invalid_arg "Einsum_program: weight shape")
     weights t.weight_shapes;
-  let g = gather t ~input in
+  let g = t.gather ~input in
   Nd.Einsum.run (Lazy.force t.plan) (g :: weights)
 
 (* --- Textual code generation ------------------------------------------- *)

@@ -4,48 +4,24 @@ module Ast = Coord.Ast
 module Graph = Pgraph.Graph
 module Tensor = Nd.Tensor
 
-(* Compile a coordinate expression into a closure over the iterator
-   environment (an int array indexed by iterator id). *)
-let rec compile_expr lookup (e : Ast.t) : int array -> int =
-  match e with
-  | Ast.Iter it ->
-      let id = it.Ast.id in
-      fun env -> env.(id)
-  | Ast.Const c -> fun _ -> c
-  | Ast.Size_const s ->
-      let v = Size.eval s lookup in
-      fun _ -> v
-  | Ast.Add (a, b) ->
-      let fa = compile_expr lookup a and fb = compile_expr lookup b in
-      fun env -> fa env + fb env
-  | Ast.Sub (a, b) ->
-      let fa = compile_expr lookup a and fb = compile_expr lookup b in
-      fun env -> fa env - fb env
-  | Ast.Mul (s, a) ->
-      let n = Size.eval s lookup in
-      let fa = compile_expr lookup a in
-      fun env -> n * fa env
-  | Ast.Div (a, s) ->
-      let n = Size.eval s lookup in
-      let fa = compile_expr lookup a in
-      fun env -> Ast.fdiv (fa env) n
-  | Ast.Mod (a, s) ->
-      let n = Size.eval s lookup in
-      let fa = compile_expr lookup a in
-      fun env -> Ast.emod (fa env) n
-
 type t = {
   op : Graph.operator;
   out_shape : int array;
   in_shape : int array;
   weight_shapes : int array list;
-  n_env : int;  (* environment size: max iterator id + 1 *)
-  spatial_ids : int array;
-  reduction_ids : int array;
   reduction_doms : int array;
-  input_indexers : (int array -> int) array;  (* one per input dim *)
-  weight_indexers : int array array;  (* iterator ids per weight group *)
+  levels : Loopnest.level array;  (* outputs then reductions *)
+  input_dims : Loopnest.dim array;
+  nest : Loopnest.t;  (* accesses: input, then weights *)
 }
+
+let row_major extents =
+  let n = Array.length extents in
+  let s = Array.make n 1 in
+  for i = n - 2 downto 0 do
+    s.(i) <- s.(i + 1) * extents.(i + 1)
+  done;
+  s
 
 let compile (op : Graph.operator) valuation =
   let lookup = Valuation.lookup valuation in
@@ -57,32 +33,42 @@ let compile (op : Graph.operator) valuation =
       (fun grp -> Array.of_list (List.map (fun it -> eval_size it.Ast.dom) grp))
       op.Graph.op_weights
   in
-  let all_ids =
-    List.map (fun it -> it.Ast.id) op.Graph.op_output_iters
-    @ List.map (fun it -> it.Ast.id) op.Graph.op_reductions
+  let reduction_doms =
+    Array.of_list (List.map (fun it -> eval_size it.Ast.dom) op.Graph.op_reductions)
   in
-  let n_env = 1 + List.fold_left max (-1) all_ids in
+  let levels =
+    Array.of_list
+      (List.map
+         (fun it -> { Loopnest.id = it.Ast.id; start = 0; extent = eval_size it.Ast.dom })
+         (op.Graph.op_output_iters @ op.Graph.op_reductions))
+  in
+  let dim e extent =
+    { Loopnest.index = Loopnest.index_of_expr ~lookup levels e; lo = 0; extent; clip = true }
+  in
+  let input = Array.of_list (List.map2 dim op.Graph.op_input_exprs (Array.to_list in_shape)) in
+  let weights =
+    List.map2
+      (fun grp shape -> Array.of_list (List.map2 (fun it -> dim (Ast.iter it)) grp (Array.to_list shape)))
+      op.Graph.op_weights weight_shapes
+  in
   {
     op;
     out_shape;
     in_shape;
     weight_shapes;
-    n_env;
-    spatial_ids = Array.of_list (List.map (fun it -> it.Ast.id) op.Graph.op_output_iters);
-    reduction_ids = Array.of_list (List.map (fun it -> it.Ast.id) op.Graph.op_reductions);
-    reduction_doms =
-      Array.of_list (List.map (fun it -> eval_size it.Ast.dom) op.Graph.op_reductions);
-    input_indexers = Array.of_list (List.map (compile_expr lookup) op.Graph.op_input_exprs);
-    weight_indexers =
-      Array.of_list
-        (List.map (fun grp -> Array.of_list (List.map (fun it -> it.Ast.id) grp))
-           op.Graph.op_weights);
+    reduction_doms;
+    levels;
+    input_dims = input;
+    nest =
+      Loopnest.compile ~levels ~n_out:(Array.length out_shape) ~out_strides:(row_major out_shape)
+        (Array.of_list (input :: weights));
   }
 
 let output_shape t = Array.copy t.out_shape
 let input_shape t = Array.copy t.in_shape
 let weight_shapes t = List.map Array.copy t.weight_shapes
 let operator t = t.op
+let guarded t = Loopnest.guarded t.nest
 
 (* Same convention as {!Pgraph.Flops.naive_flops}: the product of the
    spatial and reduction loop extents, two FLOPs per point. *)
@@ -103,109 +89,132 @@ let init_weights t rng =
     let scale = (2.0 /. Float.max 1.0 red) ** (1.0 /. (2.0 *. float_of_int n_groups)) in
     List.map (fun sh -> Tensor.rand_normal rng ~scale sh) t.weight_shapes
 
-(* Iterate [body env] over every (output x reduction) assignment.  The
-   environment array is reused across iterations. *)
-let loop_nest t body =
-  let env = Array.make (max 1 t.n_env) 0 in
-  let n_out = Array.length t.out_shape in
-  let n_red = Array.length t.reduction_ids in
-  let out_total = Array.fold_left ( * ) 1 t.out_shape in
-  let red_total = Array.fold_left ( * ) 1 t.reduction_doms in
-  for flat_out = 0 to out_total - 1 do
-    let rem = ref flat_out in
-    for i = n_out - 1 downto 0 do
-      env.(t.spatial_ids.(i)) <- !rem mod t.out_shape.(i);
-      rem := !rem / t.out_shape.(i)
-    done;
-    for flat_red = 0 to red_total - 1 do
-      let rem = ref flat_red in
-      for i = n_red - 1 downto 0 do
-        env.(t.reduction_ids.(i)) <- !rem mod t.reduction_doms.(i);
-        rem := !rem / t.reduction_doms.(i)
-      done;
-      body flat_out env
-    done
-  done
+let check_weights fn t weights =
+  if List.length weights <> List.length t.weight_shapes
+     || not (List.for_all2 (fun w sh -> Tensor.shape w = sh) weights t.weight_shapes)
+  then invalid_arg (fn ^ ": weight shapes")
 
-(* Input flat offset for the current environment; [-1] when clipped. *)
-let input_offset t env =
-  let n = Array.length t.in_shape in
-  let off = ref 0 in
-  let ok = ref true in
-  (try
-     for i = 0 to n - 1 do
-       let v = t.input_indexers.(i) env in
-       if v < 0 || v >= t.in_shape.(i) then begin
-         ok := false;
-         raise Exit
-       end;
-       off := (!off * t.in_shape.(i)) + v
-     done
-   with Exit -> ());
-  if !ok then !off else -1
-
-let weight_offset ids shape env =
-  let off = ref 0 in
-  Array.iteri (fun i id -> off := (!off * shape.(i)) + env.(id)) ids;
-  !off
-
-let iter_points t f = loop_nest t (fun _ env -> f (input_offset t env))
+let gatherer t =
+  (* Every level is an output level, so each block is a single row. *)
+  let nest =
+    Loopnest.compile ~levels:t.levels ~n_out:(Array.length t.levels)
+      ~out_strides:(row_major (Array.append t.out_shape t.reduction_doms))
+      [| t.input_dims |]
+  in
+  let steps = Loopnest.steps nest in
+  let s0 = steps.(0) and os = steps.(1) in
+  fun ~input ->
+    if Tensor.shape input <> t.in_shape then invalid_arg "Reference.gatherer: input shape";
+    let g = Tensor.create (Array.append t.out_shape t.reduction_doms) in
+    let g_data = Tensor.unsafe_data g and in_data = Tensor.unsafe_data input in
+    Loopnest.iter nest ~from:0 ~upto:(Loopnest.units nest)
+      ~segment:(fun q _ _ lo hi ->
+        for i = lo.(0) to hi.(0) - 1 do
+          g_data.(q.(1) + (i * os)) <- in_data.(q.(0) + (i * s0))
+        done)
+      ~flush:ignore;
+    g
 
 let forward t ~input ~weights =
   if Tensor.shape input <> t.in_shape then invalid_arg "Reference.forward: input shape";
-  let w_datas = Array.of_list (List.map Tensor.unsafe_data weights) in
-  let w_shapes = Array.of_list t.weight_shapes in
-  let w_ids = t.weight_indexers in
-  let n_w = Array.length w_ids in
-  let in_data = Tensor.unsafe_data input in
+  check_weights "Reference.forward" t weights;
   let out = Tensor.create t.out_shape in
-  let out_data = Tensor.unsafe_data out in
-  loop_nest t (fun flat_out env ->
-      let off = input_offset t env in
-      if off >= 0 then begin
-        let v = ref in_data.(off) in
-        for g = 0 to n_w - 1 do
-          v := !v *. w_datas.(g).(weight_offset w_ids.(g) w_shapes.(g) env)
-        done;
-        out_data.(flat_out) <- out_data.(flat_out) +. !v
-      end);
+  Loopnest.contract t.nest
+    ~factors:(Array.of_list (List.map Tensor.unsafe_data (input :: weights)))
+    ~out:(Tensor.unsafe_data out) ~from:0 ~upto:(Loopnest.units t.nest);
   out
 
+(* Per visited point, with [g] the output gradient there (points whose
+   [g] is zero are skipped):
+     d input   += g *. (1.0 *. w_0 *. ... *. w_{n-1})
+     d w_j     += (g *. x) *. (the other weights, in group order)
+   The unrolled segments below evaluate exactly these expressions. *)
 let backward t ~input ~weights ~grad_out =
   if Tensor.shape grad_out <> t.out_shape then invalid_arg "Reference.backward: grad shape";
-  let w_datas = Array.of_list (List.map Tensor.unsafe_data weights) in
-  let w_shapes = Array.of_list t.weight_shapes in
-  let w_ids = t.weight_indexers in
-  let n_w = Array.length w_ids in
-  let in_data = Tensor.unsafe_data input in
-  let go_data = Tensor.unsafe_data grad_out in
+  if Tensor.shape input <> t.in_shape then invalid_arg "Reference.backward: input shape";
+  check_weights "Reference.backward" t weights;
+  let x = Tensor.unsafe_data input in
+  let ws = Array.of_list (List.map Tensor.unsafe_data weights) in
+  let go = Tensor.unsafe_data grad_out in
   let grad_in = Tensor.create t.in_shape in
-  let gi_data = Tensor.unsafe_data grad_in in
+  let gi = Tensor.unsafe_data grad_in in
   let grad_ws = List.map Tensor.create t.weight_shapes in
-  let gw_datas = Array.of_list (List.map Tensor.unsafe_data grad_ws) in
-  let w_offs = Array.make n_w 0 in
-  loop_nest t (fun flat_out env ->
-      let off = input_offset t env in
-      if off >= 0 then begin
-        let g_out = go_data.(flat_out) in
-        if g_out <> 0.0 then begin
+  let gws = Array.of_list (List.map Tensor.unsafe_data grad_ws) in
+  let n_w = Array.length ws in
+  let steps = Loopnest.steps t.nest and rows = Loopnest.row_steps t.nest in
+  let os = steps.(n_w + 1) and ors = rows.(n_w + 1) in
+  let general q ra rb lo hi =
+    let offs = Array.make n_w 0 in
+    for r = ra to rb - 1 do
+      for i = lo.(r) to hi.(r) - 1 do
+        let g = go.(q.(n_w + 1) + (r * ors) + (i * os)) in
+        if g <> 0.0 then begin
+          let ox = q.(0) + (r * rows.(0)) + (i * steps.(0)) in
           let w_prod = ref 1.0 in
-          for g = 0 to n_w - 1 do
-            w_offs.(g) <- weight_offset w_ids.(g) w_shapes.(g) env;
-            w_prod := !w_prod *. w_datas.(g).(w_offs.(g))
+          for j = 0 to n_w - 1 do
+            offs.(j) <- q.(j + 1) + (r * rows.(j + 1)) + (i * steps.(j + 1));
+            w_prod := !w_prod *. ws.(j).(offs.(j))
           done;
-          (* d input *)
-          gi_data.(off) <- gi_data.(off) +. (g_out *. !w_prod);
-          (* d weights: product of all factors except the one being
-             differentiated *)
-          let x = in_data.(off) in
-          for g = 0 to n_w - 1 do
-            let others = ref (g_out *. x) in
-            for g' = 0 to n_w - 1 do
-              if g' <> g then others := !others *. w_datas.(g').(w_offs.(g'))
+          gi.(ox) <- gi.(ox) +. (g *. !w_prod);
+          let gx = g *. x.(ox) in
+          for j = 0 to n_w - 1 do
+            let others = ref gx in
+            for j' = 0 to n_w - 1 do
+              if j' <> j then others := !others *. ws.(j').(offs.(j'))
             done;
-            gw_datas.(g).(w_offs.(g)) <- gw_datas.(g).(w_offs.(g)) +. !others
+            gws.(j).(offs.(j)) <- gws.(j).(offs.(j)) +. !others
           done
         end
-      end);
+      done
+    done
+  in
+  (* When the output does not move inside the block (the innermost
+     level is a reduction), one [g] serves the whole block. *)
+  let segment =
+    if os <> 0 || ors <> 0 then general
+    else
+      match (ws, gws) with
+      | [| w0 |], [| gw0 |] ->
+          let s0 = steps.(0) and s1 = steps.(1) and r0 = rows.(0) and r1 = rows.(1) in
+          fun q ra rb lo hi ->
+            let g = Array.unsafe_get go q.(2) in
+            if g <> 0.0 then
+              for r = ra to rb - 1 do
+                let a = Array.unsafe_get lo r in
+                let o0 = ref (q.(0) + (r * r0) + (a * s0)) and o1 = ref (q.(1) + (r * r1) + (a * s1)) in
+                for _ = a to Array.unsafe_get hi r - 1 do
+                  let ox = !o0 and ow = !o1 in
+                  Array.unsafe_set gi ox
+                    (Array.unsafe_get gi ox +. (g *. (1.0 *. Array.unsafe_get w0 ow)));
+                  Array.unsafe_set gw0 ow (Array.unsafe_get gw0 ow +. (g *. Array.unsafe_get x ox));
+                  o0 := ox + s0;
+                  o1 := ow + s1
+                done
+              done
+      | [| w0; w1 |], [| gw0; gw1 |] ->
+          let s0 = steps.(0) and s1 = steps.(1) and s2 = steps.(2) in
+          let r0 = rows.(0) and r1 = rows.(1) and r2 = rows.(2) in
+          fun q ra rb lo hi ->
+            let g = Array.unsafe_get go q.(3) in
+            if g <> 0.0 then
+              for r = ra to rb - 1 do
+                let a = Array.unsafe_get lo r in
+                let o0 = ref (q.(0) + (r * r0) + (a * s0))
+                and o1 = ref (q.(1) + (r * r1) + (a * s1))
+                and o2 = ref (q.(2) + (r * r2) + (a * s2)) in
+                for _ = a to Array.unsafe_get hi r - 1 do
+                  let ox = !o0 and oa = !o1 and ob = !o2 in
+                  let va = Array.unsafe_get w0 oa and vb = Array.unsafe_get w1 ob in
+                  Array.unsafe_set gi ox (Array.unsafe_get gi ox +. (g *. (1.0 *. va *. vb)));
+                  let gx = g *. Array.unsafe_get x ox in
+                  Array.unsafe_set gw0 oa (Array.unsafe_get gw0 oa +. (gx *. vb));
+                  Array.unsafe_set gw1 ob (Array.unsafe_get gw1 ob +. (gx *. va));
+                  o0 := ox + s0;
+                  o1 := oa + s1;
+                  o2 := ob + s2
+                done
+              done
+      | _ -> general
+  in
+  Loopnest.iter t.nest ~from:0 ~upto:(Loopnest.units t.nest) ~segment ~flush:ignore;
   (grad_in, grad_ws)

@@ -7,14 +7,17 @@
     input accesses contribute zero (the clipping semantics of [Unfold]
     in Table 1).  This is the ground truth that the faster lowered
     programs are differential-tested against, and the executor used for
-    training synthesized operators inside real models. *)
+    training synthesized operators inside real models.
+
+    Forward and backward run on one {!Loopnest} compiled at
+    {!compile}, the einsum gather on one compiled by {!gatherer}: the
+    (output x reduction) space in row-major order, outputs outermost,
+    with strength-reduced offsets.  Out-of-window accesses are not tested per point: each
+    outer point solves for the innermost iterator's valid sub-range and
+    visits only that, so clipped points are skipped exactly as in the
+    per-point definition above, in the same order. *)
 
 type t
-
-val compile_expr : (Shape.Var.t -> int) -> Coord.Ast.t -> int array -> int
-(** Compile a coordinate expression into a closure over the iterator
-    environment (indexed by iterator id), with sizes resolved through
-    the lookup.  Shared with {!Staged_exec}. *)
 
 val compile : Pgraph.Graph.operator -> Shape.Valuation.t -> t
 
@@ -29,6 +32,9 @@ val init_weights : t -> Nd.Rng.t -> Nd.Tensor.t list
     weight groups so the accumulated output keeps unit-order scale. *)
 
 val forward : t -> input:Nd.Tensor.t -> weights:Nd.Tensor.t list -> Nd.Tensor.t
+(** Each output accumulates its in-window points in row-major
+    reduction order, the product formed input first, then the weights
+    in group order. *)
 
 val backward :
   t ->
@@ -36,13 +42,20 @@ val backward :
   weights:Nd.Tensor.t list ->
   grad_out:Nd.Tensor.t ->
   Nd.Tensor.t * Nd.Tensor.t list
-(** [(grad_input, grad_weights)]. *)
+(** [(grad_input, grad_weights)], accumulated point by point in the
+    forward visit order; points whose output gradient is zero are
+    skipped.  Raises [Invalid_argument] on a shape mismatch. *)
 
 val flops : t -> int
 (** Naive loop-nest FLOPs (no staging). *)
 
-val iter_points : t -> (int -> unit) -> unit
-(** Enumerate the (output, reduction) iteration space in row-major
-    order — outputs outermost — passing the flat input offset of each
-    point, or [-1] when the access is clipped out of bounds.  Used by
-    the gather step of {!Einsum_program}. *)
+val gatherer : t -> input:Nd.Tensor.t -> Nd.Tensor.t
+(** [gatherer t] compiles the gather and returns it:
+    [G[o, r] = input[f(o, r)]] over the (output x reduction) space,
+    shape [output_shape @ reduction extents], with clipped accesses
+    left at zero.  The gather step of {!Einsum_program}. *)
+
+val guarded : t -> bool
+(** Whether some input access is non-affine in the innermost loop
+    iterator, so the nest window-tests it per point
+    ({!Loopnest.guarded}). *)

@@ -1,13 +1,12 @@
-module Ast = Coord.Ast
 module Tensor = Nd.Tensor
 module Staged = Staged_exec
 
 (* A partition certificate piece: an axis-aligned sub-box of one loop
    nest's enumerable position space ([pc_lo]/[pc_hi] inclusive, one
    entry per positional axis), plus the set of accesses that may clip
-   inside it.  An interior piece carries an empty clip set and runs the
-   checkless fast path; a border piece guards exactly the listed
-   accesses and nothing else. *)
+   inside it.  An interior piece carries an empty clip set and indexes
+   unchecked; a border piece clips exactly the listed accesses and
+   nothing else. *)
 type piece = {
   pc_lo : int array;
   pc_hi : int array;
@@ -42,48 +41,35 @@ let strides_of extents =
   done;
   s
 
+(* One certified piece compiled onto the loop-nest engine: the piece's
+   box as the leading (output) levels, the nest's reductions after it.
+   The certificate's may-clip accesses are the only window-tested dims;
+   the engine turns them into clipped innermost ranges. *)
+type run = { nest : Loopnest.t; work : int }
+
 type stage_meta = {
-  sm_sym : Staged.stage_sym;
-  sm_total : int;
-  sm_wstrides : int array;
-  sm_consts : int array;  (* per participating factor: constant offset part *)
-  sm_axis_coefs : int array array;  (* per factor, per axis: offset per unit position *)
-  sm_rcoefs : int array;  (* per factor: offset per unit reduction step *)
-  sm_pieces : piece array;
-  sm_checks : bool array array array;  (* per piece, per factor, per use *)
-}
-
-type ffac = {
-  ff_const : int;  (* affine dims: constant offset part *)
-  ff_out : int array;  (* affine dims: offset per unit of each output axis *)
-  ff_red : int array;  (* affine dims: offset per unit of each reduction axis *)
-  ff_red_step : int;  (* offset per unit of the innermost reduction axis *)
-  ff_dyn : ((int array -> int) * int * int) array;
-      (* non-affine dims over output iterators only: (eval, lo, stride) *)
-  ff_red_dyn : bool;  (* some non-affine dim mentions a reduction iterator *)
-  ff_dims : ((int array -> int) * int * int * int) array;
-      (* every dim, staged order: (eval, window lo, window extent, stride) *)
-}
-
-type final_meta = {
-  fm_sym : Staged.final_sym;
-  fm_red_total : int;
-  fm_wstrides : int array;
-  fm_pieces : piece array;
-  fm_checks : bool array array array;
-  fm_factors : ffac array;
-  fm_dyn : bool;
+  sm_total : int;  (* cells of the materialized tensor *)
+  sm_participating : int array;
+  sm_others : int array;
+  sm_runs : run array;
 }
 
 type t = {
   sp_staged : Staged.t;
   sp_plan : plan;
+  sp_in_shape : int array;
+  sp_weight_shapes : int array list;
+  sp_out_shape : int array;
   sp_stages : stage_meta array;
-  sp_final : final_meta;
+  sp_final : run array;
 }
 
 let staged t = t.sp_staged
 let plan t = t.sp_plan
+
+let guarded_fallback t =
+  Array.exists (fun r -> Loopnest.guarded r.nest) t.sp_final
+  || Array.exists (fun m -> Array.exists (fun r -> Loopnest.guarded r.nest) m.sm_runs) t.sp_stages
 
 (* Translate a piece's flat clip set into per-(factor, use) check
    flags, given the per-factor use counts. *)
@@ -111,11 +97,37 @@ let validate_partition ~what ~axes pieces =
         p.pc_lo)
     pieces
 
-let rec affine = function
-  | Ast.Div _ | Ast.Mod _ -> false
-  | Ast.Add (a, b) | Ast.Sub (a, b) -> affine a && affine b
-  | Ast.Mul (_, e) -> affine e
-  | Ast.Iter _ | Ast.Const _ | Ast.Size_const _ -> true
+(* Compile every piece of one nest: [box_ids] name the partitioned
+   axes, [reductions] are the (id, extent) levels inside them, and
+   [factors] holds, per factor and dim, the engine dim without its
+   check flag, which each piece sets from its clip set. *)
+let compile_runs ~box_ids ~axes ~reductions ~factors pieces =
+  let counts = Array.map Array.length factors in
+  let red_extent = Array.fold_left (fun a (_, e) -> a * e) 1 reductions in
+  List.map
+    (fun p ->
+      let box =
+        Array.mapi
+          (fun i id -> { Loopnest.id; start = p.pc_lo.(i); extent = p.pc_hi.(i) - p.pc_lo.(i) + 1 })
+          box_ids
+      in
+      let levels =
+        Array.append box
+          (Array.map (fun (id, extent) -> { Loopnest.id; start = 0; extent }) reductions)
+      in
+      let checks = checks_of_clips counts p.pc_clips in
+      let accesses =
+        Array.mapi
+          (fun fi dims -> Array.mapi (fun j d -> { d with Loopnest.clip = checks.(fi).(j) }) dims)
+          factors
+      in
+      {
+        nest =
+          Loopnest.compile ~levels ~n_out:(Array.length box) ~out_strides:(strides_of axes) accesses;
+        work = piece_volume p * (red_extent + 1);
+      })
+    pieces
+  |> Array.of_list
 
 let compile staged plan =
   let syms, fsym = Staged.symbolic_plan staged in
@@ -129,116 +141,63 @@ let compile staged plan =
     List.mapi
       (fun k sym ->
         let pieces = plan.(k) in
-        validate_partition ~what:(Printf.sprintf "stage %d" k) ~axes:sym.Staged.ss_extents
-          pieces;
-        let counts = Array.map Array.length sym.Staged.ss_uses in
-        let n_axes = Array.length sym.Staged.ss_extents in
-        let consts = Array.map (fun _ -> 0) sym.Staged.ss_uses in
-        let axis_coefs = Array.map (fun _ -> Array.make n_axes 0) sym.Staged.ss_uses in
-        let rcoefs = Array.map (fun _ -> 0) sym.Staged.ss_uses in
-        Array.iteri
-          (fun fi uses ->
-            let fstrides = strides_of (Array.map (fun u -> u.Staged.u_extent) uses) in
-            Array.iteri
-              (fun j u ->
-                let s = fstrides.(j) in
-                let base =
-                  if u.Staged.u_slot >= 0 then sym.Staged.ss_lows.(u.Staged.u_slot)
-                  else u.Staged.u_base
-                in
-                consts.(fi) <- consts.(fi) + ((base - u.Staged.u_lo) * s);
-                if u.Staged.u_slot >= 0 then
-                  axis_coefs.(fi).(u.Staged.u_slot) <- axis_coefs.(fi).(u.Staged.u_slot) + s;
-                rcoefs.(fi) <- rcoefs.(fi) + (u.Staged.u_coef * s))
-              uses)
-          sym.Staged.ss_uses;
+        let axes = sym.Staged.ss_extents in
+        validate_partition ~what:(Printf.sprintf "stage %d" k) ~axes pieces;
+        let n_axes = Array.length axes in
+        (* A use's value is [pos.(slot) + lows.(slot)] (or [u_base]) plus
+           [u_coef * r]: affine over the box axes and the reduction. *)
+        let use (u : Staged.use) =
+          let coefs = Array.make (n_axes + 1) 0 in
+          if u.Staged.u_slot >= 0 then coefs.(u.Staged.u_slot) <- 1;
+          coefs.(n_axes) <- u.Staged.u_coef;
+          let const =
+            if u.Staged.u_slot >= 0 then sym.Staged.ss_lows.(u.Staged.u_slot) else u.Staged.u_base
+          in
+          {
+            Loopnest.index = Loopnest.Affine { const; coefs };
+            lo = u.Staged.u_lo;
+            extent = u.Staged.u_extent;
+            clip = false;
+          }
+        in
         {
-          sm_sym = sym;
-          sm_total = Array.fold_left ( * ) 1 sym.Staged.ss_extents;
-          sm_wstrides = strides_of sym.Staged.ss_extents;
-          sm_consts = consts;
-          sm_axis_coefs = axis_coefs;
-          sm_rcoefs = rcoefs;
-          sm_pieces = Array.of_list pieces;
-          sm_checks =
-            Array.of_list (List.map (fun p -> checks_of_clips counts p.pc_clips) pieces);
+          sm_total = Array.fold_left ( * ) 1 axes;
+          sm_participating = sym.Staged.ss_participating;
+          sm_others = sym.Staged.ss_others;
+          sm_runs =
+            compile_runs ~box_ids:(Array.init n_axes Fun.id) ~axes
+              ~reductions:[| (n_axes, sym.Staged.ss_dom) |]
+              ~factors:(Array.map (Array.map use) sym.Staged.ss_uses)
+              pieces;
         })
       syms
   in
   let fpieces = plan.(n_nests - 1) in
-  validate_partition ~what:"final" ~axes:fsym.Staged.fs_out_doms fpieces;
-  let out_ids = fsym.Staged.fs_out_ids and red_ids = fsym.Staged.fs_red_ids in
-  let m = Array.length out_ids and k = Array.length red_ids in
-  let env_size = fsym.Staged.fs_env_size in
-  let probe = Array.make env_size 0 in
-  let factors =
+  let axes = fsym.Staged.fs_out_doms in
+  validate_partition ~what:"final" ~axes fpieces;
+  (* The decomposition depends only on which iterator each level is,
+     so it is done once for all pieces. *)
+  let order =
     Array.map
-      (fun dims ->
-        let fstrides = strides_of (Array.map (fun (_, _, extent) -> extent) dims) in
-        let ff_const = ref 0 in
-        let ff_out = Array.make m 0 in
-        let ff_red = Array.make k 0 in
-        let ff_dyn = ref [] in
-        let ff_red_dyn = ref false in
-        let ff_dims =
-          Array.mapi
-            (fun j (expr, lo, extent) ->
-              let eval = Reference.compile_expr lookup expr in
-              let s = fstrides.(j) in
-              if affine expr then begin
-                Array.fill probe 0 env_size 0;
-                let c0 = eval probe in
-                ff_const := !ff_const + ((c0 - lo) * s);
-                List.iter
-                  (fun (it : Ast.iter) ->
-                    probe.(it.Ast.id) <- 1;
-                    let c = eval probe - c0 in
-                    probe.(it.Ast.id) <- 0;
-                    Array.iteri (fun a id -> if id = it.Ast.id then ff_out.(a) <- ff_out.(a) + (c * s)) out_ids;
-                    Array.iteri (fun a id -> if id = it.Ast.id then ff_red.(a) <- ff_red.(a) + (c * s)) red_ids)
-                  (List.sort_uniq
-                     (fun (a : Ast.iter) b -> compare a.Ast.id b.Ast.id)
-                     (Ast.iters expr))
-              end
-              else begin
-                let mentions_red =
-                  List.exists
-                    (fun (it : Ast.iter) -> Array.exists (fun id -> id = it.Ast.id) red_ids)
-                    (Ast.iters expr)
-                in
-                if mentions_red then ff_red_dyn := true
-                else ff_dyn := (eval, lo, s) :: !ff_dyn
-              end;
-              (eval, lo, extent, s))
-            dims
-        in
-        {
-          ff_const = !ff_const;
-          ff_out;
-          ff_red;
-          ff_red_step = (if k = 0 then 0 else ff_red.(k - 1));
-          ff_dyn = Array.of_list (List.rev !ff_dyn);
-          ff_red_dyn = !ff_red_dyn;
-          ff_dims;
-        })
-      fsym.Staged.fs_factors
+      (fun id -> { Loopnest.id; start = 0; extent = 1 })
+      (Array.append fsym.Staged.fs_out_ids fsym.Staged.fs_red_ids)
   in
-  let counts = Array.map Array.length fsym.Staged.fs_factors in
+  let dim (expr, lo, extent) =
+    { Loopnest.index = Loopnest.index_of_expr ~lookup order expr; lo; extent; clip = false }
+  in
+  let reference = Staged.reference staged in
   {
     sp_staged = staged;
     sp_plan = plan;
+    sp_in_shape = Reference.input_shape reference;
+    sp_weight_shapes = Reference.weight_shapes reference;
+    sp_out_shape = Reference.output_shape reference;
     sp_stages = Array.of_list stage_metas;
     sp_final =
-      {
-        fm_sym = fsym;
-        fm_red_total = Array.fold_left ( * ) 1 fsym.Staged.fs_red_doms;
-        fm_wstrides = strides_of fsym.Staged.fs_out_doms;
-        fm_pieces = Array.of_list fpieces;
-        fm_checks =
-          Array.of_list (List.map (fun p -> checks_of_clips counts p.pc_clips) fpieces);
-        fm_factors = factors;
-        fm_dyn = Array.exists (fun f -> f.ff_red_dyn) factors;
-      };
+      compile_runs ~box_ids:fsym.Staged.fs_out_ids ~axes
+        ~reductions:(Array.map2 (fun id e -> (id, e)) fsym.Staged.fs_red_ids fsym.Staged.fs_red_doms)
+        ~factors:(Array.map (Array.map dim) fsym.Staged.fs_factors)
+        fpieces;
   }
 
 (* --- Execution ------------------------------------------------------------ *)
@@ -246,340 +205,40 @@ let compile staged plan =
 let poll_mask = Staged.poll_mask
 let par_threshold = Staged.par_threshold
 
-let run_flat ?cancel ~work ~n body seq =
-  let pool = Par.Pool.get_default () in
-  if work >= par_threshold && Par.Pool.size pool > 1 && n > 1 then
-    Par.Pool.parallel_for pool ?cancel ~n body
-  else seq ()
-
-(* The checkless reduction loop: [n] steps of multiply-accumulate with
-   constant per-factor strides.  Accumulation is [acc +. product] with
-   the product formed in factor order, exactly like the interpreter —
-   so the result is bit-identical element by element. *)
-let inner1 acc0 n d0 o0 s0 =
-  let acc = ref acc0 and o0 = ref o0 in
-  for _ = 1 to n do
-    acc := !acc +. Array.unsafe_get d0 !o0;
-    o0 := !o0 + s0
-  done;
-  !acc
-
-let inner2 acc0 n d0 o0 s0 d1 o1 s1 =
-  let acc = ref acc0 and o0 = ref o0 and o1 = ref o1 in
-  for _ = 1 to n do
-    acc := !acc +. (Array.unsafe_get d0 !o0 *. Array.unsafe_get d1 !o1);
-    o0 := !o0 + s0;
-    o1 := !o1 + s1
-  done;
-  !acc
-
-let inner3 acc0 n d0 o0 s0 d1 o1 s1 d2 o2 s2 =
-  let acc = ref acc0 and o0 = ref o0 and o1 = ref o1 and o2 = ref o2 in
-  for _ = 1 to n do
-    acc :=
-      !acc
-      +. (Array.unsafe_get d0 !o0 *. Array.unsafe_get d1 !o1 *. Array.unsafe_get d2 !o2);
-    o0 := !o0 + s0;
-    o1 := !o1 + s1;
-    o2 := !o2 + s2
-  done;
-  !acc
-
-let inner_n acc0 n (datas : float array array) (offs : int array) (steps : int array) =
-  let acc = ref acc0 in
-  let nf = Array.length datas in
-  for _ = 1 to n do
-    let p = ref (Array.unsafe_get (Array.unsafe_get datas 0) (Array.unsafe_get offs 0)) in
-    Array.unsafe_set offs 0 (Array.unsafe_get offs 0 + Array.unsafe_get steps 0);
-    for f = 1 to nf - 1 do
-      p := !p *. Array.unsafe_get (Array.unsafe_get datas f) (Array.unsafe_get offs f);
-      Array.unsafe_set offs f (Array.unsafe_get offs f + Array.unsafe_get steps f)
-    done;
-    acc := !acc +. !p
-  done;
-  !acc
-
-(* One materialization stage over its certified partition. *)
-let run_stage ~poll ?cancel meta factors =
-  let sym = meta.sm_sym in
-  let arr = Array.of_list factors in
-  let others = List.map (fun i -> arr.(i)) (Array.to_list sym.Staged.ss_others) in
-  let datas =
-    Array.map
-      (fun i -> Tensor.unsafe_data arr.(i).Staged.data)
-      sym.Staged.ss_participating
-  in
-  let nf = Array.length datas in
-  let extents = sym.Staged.ss_extents in
-  let lows = sym.Staged.ss_lows in
-  let dom = sym.Staged.ss_dom in
-  let n_axes = Array.length extents in
-  let tensor = Tensor.create (Array.copy extents) in
-  let data = Tensor.unsafe_data tensor in
-  Array.iteri
-    (fun pi piece ->
+(* Run every piece of one nest into [out].  A clipped point's product
+   is exactly [0.0] in the interpreter and adding it leaves the
+   accumulator (which starts at [+0.0]) unchanged, so the engine's
+   skipping them computes the same bits.  Pieces poll [cancel] at their
+   boundary and every [poll_mask + 1] units; large ones run their units
+   on the default pool, each unit written by exactly one claim. *)
+let run_pieces ~poll ?cancel runs ~factors ~out =
+  Array.iter
+    (fun r ->
       poll ();
-      let pdims = Array.init n_axes (fun i -> piece.pc_hi.(i) - piece.pc_lo.(i) + 1) in
-      let volume = Array.fold_left ( * ) 1 pdims in
-      let checks = meta.sm_checks.(pi) in
-      let interior_element pos flat =
-        let rem = ref flat in
-        for i = n_axes - 1 downto 0 do
-          pos.(i) <- piece.pc_lo.(i) + (!rem mod pdims.(i));
-          rem := !rem / pdims.(i)
-        done;
-        let w = ref 0 in
-        for i = 0 to n_axes - 1 do
-          w := !w + (pos.(i) * meta.sm_wstrides.(i))
-        done;
-        let base fi =
-          let b = ref meta.sm_consts.(fi) in
-          let coefs = meta.sm_axis_coefs.(fi) in
-          for i = 0 to n_axes - 1 do
-            b := !b + (coefs.(i) * pos.(i))
-          done;
-          !b
-        in
-        let acc =
-          match nf with
-          | 1 -> inner1 0.0 dom datas.(0) (base 0) meta.sm_rcoefs.(0)
-          | 2 ->
-              inner2 0.0 dom datas.(0) (base 0) meta.sm_rcoefs.(0) datas.(1) (base 1)
-                meta.sm_rcoefs.(1)
-          | 3 ->
-              inner3 0.0 dom datas.(0) (base 0) meta.sm_rcoefs.(0) datas.(1) (base 1)
-                meta.sm_rcoefs.(1) datas.(2) (base 2) meta.sm_rcoefs.(2)
-          | _ ->
-              let offs = Array.init nf base in
-              inner_n 0.0 dom datas offs meta.sm_rcoefs
-        in
-        data.(!w) <- acc
-      in
-      (* Border: the interpreter's loop restricted to the strip, with a
-         window test on exactly the accesses the certificate says may
-         clip; everything else indexes unchecked. *)
-      let border_element pos flat =
-        let rem = ref flat in
-        for i = n_axes - 1 downto 0 do
-          pos.(i) <- piece.pc_lo.(i) + (!rem mod pdims.(i));
-          rem := !rem / pdims.(i)
-        done;
-        let w = ref 0 in
-        for i = 0 to n_axes - 1 do
-          w := !w + (pos.(i) * meta.sm_wstrides.(i))
-        done;
-        let acc = ref 0.0 in
-        for r = 0 to dom - 1 do
-          let product = ref 1.0 in
-          (try
-             for fi = 0 to nf - 1 do
-               let fdata = datas.(fi) in
-               let fuses = sym.Staged.ss_uses.(fi) in
-               let fchecks = checks.(fi) in
-               let off = ref 0 in
-               for j = 0 to Array.length fuses - 1 do
-                 let u = fuses.(j) in
-                 let value =
-                   (if u.Staged.u_slot >= 0 then
-                      pos.(u.Staged.u_slot) + lows.(u.Staged.u_slot)
-                    else u.Staged.u_base)
-                   + (u.Staged.u_coef * r)
-                 in
-                 let idx = value - u.Staged.u_lo in
-                 if fchecks.(j) && (idx < 0 || idx >= u.Staged.u_extent) then begin
-                   product := 0.0;
-                   raise Exit
-                 end;
-                 off := (!off * u.Staged.u_extent) + idx
-               done;
-               product := !product *. fdata.(!off)
-             done
-           with Exit -> ());
-          acc := !acc +. !product
-        done;
-        data.(!w) <- !acc
-      in
-      let element = if piece.pc_interior then interior_element else border_element in
-      let body lo hi =
-        let pos = Array.make (max 1 n_axes) 0 in
-        for flat = lo to hi - 1 do
-          element pos flat
+      let units = Loopnest.units r.nest in
+      let run from upto = Loopnest.contract r.nest ~factors ~out ~from ~upto in
+      let pool = Par.Pool.get_default () in
+      if r.work >= par_threshold && Par.Pool.size pool > 1 && units > 1 then
+        Par.Pool.parallel_for pool ?cancel ~n:units run
+      else begin
+        let from = ref 0 in
+        while !from < units do
+          poll ();
+          let upto = min units (!from + poll_mask + 1) in
+          run !from upto;
+          from := upto
         done
-      in
-      let seq () =
-        let pos = Array.make (max 1 n_axes) 0 in
-        for flat = 0 to volume - 1 do
-          if flat land poll_mask = 0 then poll ();
-          element pos flat
-        done
-      in
-      run_flat ?cancel ~work:(volume * (dom + 1)) ~n:volume body seq)
-    meta.sm_pieces;
-  { Staged.dims = sym.Staged.ss_new_dims; data = tensor } :: others
+      end)
+    runs
 
-(* The final contraction over its certified partition. *)
-let run_final ~poll ?cancel meta factors out =
-  let sym = meta.fm_sym in
-  let out_data = Tensor.unsafe_data out in
-  let datas =
-    Array.of_list (List.map (fun f -> Tensor.unsafe_data f.Staged.data) factors)
-  in
-  let nf = Array.length datas in
-  let m = Array.length sym.Staged.fs_out_doms in
-  let k = Array.length sym.Staged.fs_red_doms in
-  let red_total = meta.fm_red_total in
-  let red_last = if k = 0 then 1 else sym.Staged.fs_red_doms.(k - 1) in
-  let red_outer = red_total / red_last in
-  Array.iteri
-    (fun pi piece ->
-      poll ();
-      let pdims = Array.init m (fun i -> piece.pc_hi.(i) - piece.pc_lo.(i) + 1) in
-      let volume = Array.fold_left ( * ) 1 pdims in
-      let checks = meta.fm_checks.(pi) in
-      (* Checkless path: per output point, per-factor base offsets from
-         the affine decomposition (plus any output-only non-affine dims
-         evaluated once), then nested reduction loops with constant
-         strides. *)
-      let interior_element env pos flat =
-        let rem = ref flat in
-        for i = m - 1 downto 0 do
-          pos.(i) <- piece.pc_lo.(i) + (!rem mod pdims.(i));
-          rem := !rem / pdims.(i)
-        done;
-        let w = ref 0 in
-        for i = 0 to m - 1 do
-          env.(sym.Staged.fs_out_ids.(i)) <- pos.(i);
-          w := !w + (pos.(i) * meta.fm_wstrides.(i))
-        done;
-        let base fi =
-          let f = meta.fm_factors.(fi) in
-          let b = ref f.ff_const in
-          for i = 0 to m - 1 do
-            b := !b + (f.ff_out.(i) * pos.(i))
-          done;
-          Array.iter (fun (eval, lo, s) -> b := !b + ((eval env - lo) * s)) f.ff_dyn;
-          !b
-        in
-        let acc = ref 0.0 in
-        if k <= 1 then
-          acc :=
-            (match nf with
-            | 1 -> inner1 0.0 red_last datas.(0) (base 0) meta.fm_factors.(0).ff_red_step
-            | 2 ->
-                inner2 0.0 red_last datas.(0) (base 0) meta.fm_factors.(0).ff_red_step
-                  datas.(1) (base 1) meta.fm_factors.(1).ff_red_step
-            | 3 ->
-                inner3 0.0 red_last datas.(0) (base 0) meta.fm_factors.(0).ff_red_step
-                  datas.(1) (base 1) meta.fm_factors.(1).ff_red_step datas.(2) (base 2)
-                  meta.fm_factors.(2).ff_red_step
-            | _ ->
-                let offs = Array.init nf base in
-                inner_n 0.0 red_last datas offs
-                  (Array.map (fun f -> f.ff_red_step) meta.fm_factors))
-        else begin
-          let bases = Array.init nf base in
-          let rsteps = Array.map (fun f -> f.ff_red_step) meta.fm_factors in
-          let rv = Array.make (k - 1) 0 in
-          for outer = 0 to red_outer - 1 do
-            let rem = ref outer in
-            for i = k - 2 downto 0 do
-              rv.(i) <- !rem mod sym.Staged.fs_red_doms.(i);
-              rem := !rem / sym.Staged.fs_red_doms.(i)
-            done;
-            let off fi =
-              let f = meta.fm_factors.(fi) in
-              let o = ref bases.(fi) in
-              for i = 0 to k - 2 do
-                o := !o + (f.ff_red.(i) * rv.(i))
-              done;
-              !o
-            in
-            acc :=
-              (match nf with
-              | 1 -> inner1 !acc red_last datas.(0) (off 0) rsteps.(0)
-              | 2 ->
-                  inner2 !acc red_last datas.(0) (off 0) rsteps.(0) datas.(1) (off 1)
-                    rsteps.(1)
-              | 3 ->
-                  inner3 !acc red_last datas.(0) (off 0) rsteps.(0) datas.(1) (off 1)
-                    rsteps.(1) datas.(2) (off 2) rsteps.(2)
-              | _ ->
-                  let offs = Array.init nf off in
-                  inner_n !acc red_last datas offs rsteps)
-          done
-        end;
-        out_data.(!w) <- !acc
-      in
-      (* Guarded path (border strips, and every piece when some access
-         is non-affine in a remaining reduction iterator): the
-         interpreter's evaluation loop, with window tests on exactly
-         the certified may-clip accesses. *)
-      let guarded_element env pos flat =
-        let rem = ref flat in
-        for i = m - 1 downto 0 do
-          pos.(i) <- piece.pc_lo.(i) + (!rem mod pdims.(i));
-          rem := !rem / pdims.(i)
-        done;
-        let w = ref 0 in
-        for i = 0 to m - 1 do
-          env.(sym.Staged.fs_out_ids.(i)) <- pos.(i);
-          w := !w + (pos.(i) * meta.fm_wstrides.(i))
-        done;
-        let acc = ref 0.0 in
-        for flat_red = 0 to red_total - 1 do
-          let rem = ref flat_red in
-          for i = k - 1 downto 0 do
-            env.(sym.Staged.fs_red_ids.(i)) <- !rem mod sym.Staged.fs_red_doms.(i);
-            rem := !rem / sym.Staged.fs_red_doms.(i)
-          done;
-          let product = ref 1.0 in
-          for fi = 0 to nf - 1 do
-            let f = meta.fm_factors.(fi) in
-            let fchecks = checks.(fi) in
-            let off = ref 0 in
-            let ok = ref true in
-            (try
-               Array.iteri
-                 (fun j (eval, lo, extent, _) ->
-                   let idx = eval env - lo in
-                   if fchecks.(j) && (idx < 0 || idx >= extent) then begin
-                     ok := false;
-                     raise Exit
-                   end;
-                   off := (!off * extent) + idx)
-                 f.ff_dims
-             with Exit -> ());
-            product := !product *. (if !ok then datas.(fi).(!off) else 0.0)
-          done;
-          acc := !acc +. !product
-        done;
-        out_data.(!w) <- !acc
-      in
-      let element =
-        if piece.pc_interior && not meta.fm_dyn then interior_element else guarded_element
-      in
-      let body lo hi =
-        let env = Array.make sym.Staged.fs_env_size 0 in
-        let pos = Array.make (max 1 m) 0 in
-        for flat = lo to hi - 1 do
-          element env pos flat
-        done
-      in
-      let seq () =
-        let env = Array.make sym.Staged.fs_env_size 0 in
-        let pos = Array.make (max 1 m) 0 in
-        for flat = 0 to volume - 1 do
-          if flat land poll_mask = 0 then poll ();
-          element env pos flat
-        done
-      in
-      run_flat ?cancel ~work:(volume * (red_total + 1)) ~n:volume body seq)
-    meta.fm_pieces
-
+(* The interpreter's factor-list evolution on raw data: each stage's
+   tensor, followed by the factors it did not touch, in order. *)
 let forward ?cancel t ~input ~weights =
-  let staged = t.sp_staged in
-  if Tensor.shape input <> Reference.input_shape (Staged.reference staged) then
-    invalid_arg "Specialize.forward: input shape";
+  if Tensor.shape input <> t.sp_in_shape then invalid_arg "Specialize.forward: input shape";
+  if
+    List.length weights <> List.length t.sp_weight_shapes
+    || not (List.for_all2 (fun w sh -> Tensor.shape w = sh) weights t.sp_weight_shapes)
+  then invalid_arg "Specialize.forward: weight shapes";
   let poll =
     match cancel with
     | None -> fun () -> ()
@@ -587,12 +246,18 @@ let forward ?cancel t ~input ~weights =
   in
   let factors =
     Array.fold_left
-      (fun factors meta -> run_stage ~poll ?cancel meta factors)
-      (Staged.initial_factors staged ~input ~weights)
+      (fun factors meta ->
+        poll ();
+        let out = Array.make meta.sm_total 0.0 in
+        run_pieces ~poll ?cancel meta.sm_runs
+          ~factors:(Array.map (fun i -> factors.(i)) meta.sm_participating)
+          ~out;
+        Array.append [| out |] (Array.map (fun i -> factors.(i)) meta.sm_others))
+      (Array.of_list (List.map Tensor.unsafe_data (input :: weights)))
       t.sp_stages
   in
-  let out = Tensor.create (Reference.output_shape (Staged.reference staged)) in
-  run_final ~poll ?cancel t.sp_final factors out;
+  let out = Tensor.create t.sp_out_shape in
+  run_pieces ~poll ?cancel t.sp_final ~factors ~out:(Tensor.unsafe_data out);
   out
 
 (* --- Seeded plan corruption ----------------------------------------------- *)

@@ -1,23 +1,29 @@
 (** Proof-guided kernel specialization.
 
-    {!Staged_exec} and {!Reference} window-test every tensor access and
-    clip out-of-bounds reads to zero.  When the static layer has proved
+    {!Staged_exec} window-tests every tensor access and clips
+    out-of-bounds reads to zero.  When the static layer has proved
     where clipping can actually happen, those tests are pure overhead
     over most of the iteration space.  This module compiles a staged
     program together with an iteration-space {e partition certificate}
-    into a specialized executor:
+    into a specialized executor: every piece becomes one {!Loopnest}
+    over its box (then the nest's reductions), with strength-reduced
+    offsets and no per-point window test.
 
     - {e interior} pieces — where every access is proved in-bounds —
-      run checkless inner loops with constant-stride offset arithmetic
-      and unchecked array reads;
-    - {e border} pieces run the interpreter's loop restricted to the
-      strip, window-testing exactly the accesses the certificate lists
-      as may-clip and nothing else.
+      index unchecked throughout;
+    - {e border} pieces clip exactly the accesses the certificate lists
+      as may-clip and nothing else: per outer point the engine solves
+      for the innermost iterator's valid sub-range and skips the rest.
 
-    The output is bit-identical to {!Staged_exec.forward}: pieces
-    partition only positional axes, so every output element is computed
-    whole by exactly one piece, with products formed in factor order
-    and reductions accumulated in the interpreter's order.
+    The output is bit-identical to {!Staged_exec.forward} on finite
+    data: pieces partition only positional axes, so every output
+    element is computed whole by exactly one piece, with products
+    formed in factor order and reductions accumulated in the
+    interpreter's order.  The interpreter's product at a clipped point
+    is [0.0] (exactly, for finite factors), and adding it leaves an
+    accumulator that started at [+0.0] unchanged, so skipping the point
+    changes no bit.  (With an infinite co-factor the interpreter forms
+    [inf *. 0.0 = nan] in the final contraction; the engine does not.)
 
     Certificates are produced by [Analysis.Regions] and validated by
     [Analysis.Certify]; {!compile} itself only shape-checks the plan.
@@ -27,7 +33,7 @@
 type piece = {
   pc_lo : int array;  (** inclusive lower corner, one entry per axis *)
   pc_hi : int array;  (** inclusive upper corner *)
-  pc_interior : bool;  (** checkless fast path when [true] *)
+  pc_interior : bool;  (** no access may clip when [true]; execution reads only [pc_clips] *)
   pc_clips : int list;
       (** flat indices of the accesses that may clip inside this piece,
           numbering the nest's accesses factor-major in executor order
@@ -49,13 +55,19 @@ val piece_volume : piece -> int
 type t
 
 val compile : Staged_exec.t -> plan -> t
-(** Precomputes the per-piece offset algebra.  Raises [Invalid_argument]
+(** Compiles one {!Loopnest} per piece.  Raises [Invalid_argument]
     if the plan's shape does not match the executor (wrong number of
     partitions, piece rank mismatch, piece outside its nest's box) —
     semantic soundness is [Analysis.Certify]'s job. *)
 
 val staged : t -> Staged_exec.t
 val plan : t -> plan
+
+val guarded_fallback : t -> bool
+(** Whether some piece falls back to per-point window tests because an
+    access is non-affine in its nest's innermost iterator (e.g. the
+    [i / s], [i % s] of a pixel shuffle).  Iterator-free [Div]/[Mod]
+    constants such as Unfold's [k / 2] are affine. *)
 
 val forward :
   ?cancel:Robust.Cancel.t -> t -> input:Nd.Tensor.t -> weights:Nd.Tensor.t list -> Nd.Tensor.t

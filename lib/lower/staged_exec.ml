@@ -447,7 +447,7 @@ let forward ?cancel t ~input ~weights =
         let accessors =
           List.map
             (fun d ->
-              let eval = Reference.compile_expr lookup d.expr in
+              let eval = Loopnest.compile_expr lookup d.expr in
               (eval, d.lo, d.extent))
             f.dims
         in

@@ -37,7 +37,9 @@ val of_operator :
   Lower.Reference.t ->
   t
 (** A synthesized (or standard, e.g. convolution) operator layer with
-    its weight tensors, trained via the reference backward pass.
+    its weight tensors, trained via the reference backward pass
+    ([Lower.Reference.backward], the exact per-point gradient run as a
+    strength-reduced loop nest).
     [forward] substitutes a faster forward executor (e.g. a certified
     specialized kernel) for the same operator — it must be numerically
     equivalent to [Lower.Reference.forward] up to float association;

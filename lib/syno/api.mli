@@ -76,7 +76,8 @@ val proxy_layer :
 (** Compile the entry at a proxy stage shape as a trainable layer.
     [specialize] (default [`Off]) swaps the forward pass for the
     certified specialized kernel; the backward pass stays the
-    reference one. *)
+    reference one ([Lower.Reference.backward], now a strength-reduced
+    loop nest bit-identical to the per-point definition). *)
 
 val train_entry :
   ?epochs:int ->

@@ -97,6 +97,36 @@ let test_pool_sizes_bit_identical () =
             [ 1; 2; 4 ])
         [ Zoo.conv2d; Zoo.operator1 ])
 
+(* At the proxy training stage shapes (batch 16, 4->8 and 8->8
+   channels, 10x10), every instantiable zoo operator specializes
+   bit-identically, and every Unfold-based one runs on the engine's
+   range-clipped path: Unfold's iterator-free [k / 2] centring constant
+   is affine, so no piece falls back to per-point guards. *)
+let test_training_shape_bit_identity () =
+  let uses_unfold op =
+    List.exists (function Prim.Unfold _ -> true | _ -> false) op.Graph.op_trace
+  in
+  let unfold_ops = ref 0 in
+  List.iter
+    (fun (c_in, c_out) ->
+      let v = Zoo.Vars.conv_valuation ~n:16 ~c_in ~c_out ~hw:10 () in
+      List.iter
+        (fun (e : Zoo.entry) ->
+          if Option.is_some (Verify.program_opt e.Zoo.operator v) then begin
+            let name = Printf.sprintf "%s/%d->%d" e.Zoo.name c_in c_out in
+            let st, cert = certified name e.Zoo.operator v in
+            let sp = Specialize.compile st cert.Regions.rc_plan in
+            if uses_unfold e.Zoo.operator then begin
+              incr unfold_ops;
+              Alcotest.(check bool) (name ^ ": range-clipped, not guarded") false
+                (Specialize.guarded_fallback sp)
+            end;
+            check_identical name e.Zoo.operator v
+          end)
+        Zoo.all)
+    [ (4, 8); (8, 8) ];
+  Alcotest.(check bool) "Unfold-based operators covered" true (!unfold_ops >= 16)
+
 (* --- Cancellation --------------------------------------------------------- *)
 
 let test_mid_loop_cancellation () =
@@ -316,6 +346,7 @@ let () =
           Alcotest.test_case "zoo operators" `Quick test_zoo_bit_identity;
           Alcotest.test_case "matmul" `Quick test_matmul_bit_identity;
           Alcotest.test_case "pool sizes" `Quick test_pool_sizes_bit_identical;
+          Alcotest.test_case "training shapes" `Quick test_training_shape_bit_identity;
           QCheck_alcotest.to_alcotest random_specialized_agreement;
         ] );
       ( "cancellation",
