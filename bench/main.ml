@@ -439,6 +439,7 @@ let micro () =
   let sz = Size.of_var in
   let g0 = Graph.init [ sz n; sz c_out; sz h; sz w ] in
   let g1 = Graph.apply_exn g0 (Prim.Reduce (sz c_in)) in
+  let warm_dist = Pgraph.Distance.create () in
   let valuation = Zoo.Vars.conv_valuation ~n:1 ~c_in:8 ~c_out:8 ~hw:8 ~k:3 ~g:2 ~s:2 () in
   let compiled = Lower.Reference.compile conv valuation in
   let rng = Nd.Rng.create ~seed:1 in
@@ -459,6 +460,11 @@ let micro () =
                Pgraph.Distance.distance
                  (Pgraph.Distance.create ())
                  ~current:(Graph.frontier_sizes g1)
+                 ~desired:[ sz n; sz c_in; sz h; sz w ]));
+        (* The search hits its memo on most calls: time the lookup. *)
+        Test.make ~name:"shape-distance-warm"
+          (Staged.stage (fun () ->
+               Pgraph.Distance.distance warm_dist ~current:(Graph.frontier_sizes g1)
                  ~desired:[ sz n; sz c_in; sz h; sz w ]));
         Test.make ~name:"einsum-32x32-matmul"
           (Staged.stage (fun () -> Nd.Einsum.einsum "ik,kj->ij" [ mat_a; mat_b ]));

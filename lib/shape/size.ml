@@ -103,7 +103,10 @@ let compare a b =
   | c -> c
 
 let equal a b = compare a b = 0
-let hash s = Hashtbl.hash (s.const, List.map (fun (v, e) -> (Var.to_string v, e)) s.pows)
+let hash s =
+  List.fold_left
+    (fun h (v, e) -> (((h * 65_599) + Hashtbl.hash (Var.name v)) * 31) + e)
+    s.const s.pows
 
 let pp ppf s =
   let pp_pow ppf (v, e) =

@@ -291,6 +291,340 @@ let test_distance_conv_prefix () =
   | Some d -> Alcotest.(check bool) "reachable and small" true (d <= 2)
   | None -> Alcotest.fail "conv prefix must be reachable"
 
+(* --- Shape distance against the list-based oracle -------------------------- *)
+
+(* The list-of-lists enumeration [Distance] used before its bitmask
+   rewrite, kept as the oracle: the rewrite must return the same
+   [int option] for every input, including the first-[max_schemes]
+   minimum of a capped call, and its memo must keep the result of the
+   first order of dims seen. *)
+module Oracle = struct
+  type side =
+    | Current
+    | Desired
+
+  let div_exact a b =
+    match Size.div a b with
+    | Some q when not (Size.has_negative_exponent q) -> Some q
+    | Some _ | None -> None
+
+  let multiset_equal a b =
+    List.length a = List.length b
+    &&
+    let sa = List.sort Size.compare a and sb = List.sort Size.compare b in
+    List.for_all2 Size.equal sa sb
+
+  let group_cost lhs rhs =
+    if multiset_equal lhs rhs then Some 0
+    else
+      match (lhs, rhs) with
+      | [], _ :: _ -> Some (List.length rhs)
+      | [], [] -> Some 0
+      | _ :: _, _ -> (
+          match div_exact (Size.product lhs) (Size.product rhs) with
+          | None -> None
+          | Some ratio ->
+              let elim = if Size.is_one ratio then 0 else 1 in
+              let reshapes =
+                match rhs with
+                | [] -> max 0 (List.length lhs - 1)
+                | _ :: _ -> max 0 (List.length lhs + List.length rhs - 2)
+              in
+              Some (max reshapes elim))
+
+  let primary_vars size = List.filter Var.is_primary (Size.vars size)
+
+  let units_of dims =
+    let with_primary, coeff_only =
+      List.partition (fun (_, s) -> primary_vars s <> []) dims
+    in
+    let parent = Hashtbl.create 16 in
+    let rec find v =
+      match Hashtbl.find_opt parent v with
+      | None -> v
+      | Some p ->
+          let root = find p in
+          if root <> p then Hashtbl.replace parent v root;
+          root
+    in
+    let union a b =
+      let ra = find a and rb = find b in
+      if ra <> rb then Hashtbl.replace parent ra rb
+    in
+    List.iter
+      (fun (_, s) ->
+        match List.map Var.name (primary_vars s) with
+        | [] -> ()
+        | first :: rest -> List.iter (union first) rest)
+      with_primary;
+    let buckets = Hashtbl.create 16 in
+    List.iter
+      (fun ((_, s) as dim) ->
+        let root = find (Var.name (List.hd (primary_vars s))) in
+        let existing = try Hashtbl.find buckets root with Not_found -> [] in
+        Hashtbl.replace buckets root (dim :: existing))
+      with_primary;
+    let units = Hashtbl.fold (fun _ dims acc -> dims :: acc) buckets [] in
+    (units, coeff_only)
+
+  let rec partitions items =
+    match items with
+    | [] -> [ [] ]
+    | x :: rest ->
+        List.concat_map
+          (fun parts ->
+            let joined =
+              List.mapi
+                (fun i _ -> List.mapi (fun j b -> if i = j then x :: b else b) parts)
+                parts
+            in
+            ([ x ] :: parts) :: joined)
+          (partitions rest)
+
+  let rec attachments coeff_dims blocks =
+    match coeff_dims with
+    | [] -> [ blocks ]
+    | ((side, _) as dim) :: rest ->
+        let with_join =
+          List.concat_map
+            (fun blocks' ->
+              List.mapi
+                (fun i _ -> List.mapi (fun j b -> if i = j then dim :: b else b) blocks')
+                blocks')
+            (attachments rest blocks)
+        in
+        let with_own =
+          match side with
+          | Current -> List.map (fun blocks' -> [ dim ] :: blocks') (attachments rest blocks)
+          | Desired -> []
+        in
+        with_own @ with_join
+
+  let max_schemes = 20_000
+
+  let schemes ~current ~desired =
+    let dims =
+      List.map (fun s -> (Current, s)) current @ List.map (fun s -> (Desired, s)) desired
+    in
+    let units, coeff_only = units_of dims in
+    List.concat_map
+      (fun unit_part -> attachments coeff_only (List.map List.concat unit_part))
+      (partitions units)
+
+  let scheme_cost blocks =
+    List.fold_left
+      (fun acc block ->
+        match acc with
+        | None -> None
+        | Some acc ->
+            let side_sizes side =
+              List.filter_map (fun (sd, s) -> if sd = side then Some s else None) block
+            in
+            Option.map (fun c -> acc + c) (group_cost (side_sizes Current) (side_sizes Desired)))
+      (Some 0) blocks
+
+  (* Minimum over the first [cap] schemes. *)
+  let min_cost ?(cap = max_schemes) ~current ~desired () =
+    if multiset_equal current desired then Some 0
+    else
+      List.fold_left
+        (fun best (i, blocks) ->
+          if i >= cap then best
+          else
+            match (scheme_cost blocks, best) with
+            | None, _ -> best
+            | Some c, Some b when b <= c -> best
+            | Some c, (Some _ | None) -> Some c)
+        None
+        (List.mapi (fun i b -> (i, b)) (schemes ~current ~desired))
+
+  let raw_distance ~current ~desired = min_cost ~current ~desired ()
+
+  let create () : (string, int option) Hashtbl.t = Hashtbl.create 1024
+
+  let distance t ~current ~desired =
+    let part dims = String.concat ";" (List.map Size.to_string (List.sort Size.compare dims)) in
+    let k = part current ^ "|" ^ part desired in
+    match Hashtbl.find_opt t k with
+    | Some d -> d
+    | None ->
+        let d = raw_distance ~current ~desired in
+        Hashtbl.add t k d;
+        d
+end
+
+let pp_sizes dims = "[" ^ String.concat ", " (List.map Size.to_string dims) ^ "]"
+
+(* One input checked three ways: a fresh calculator against the
+   oracle's enumeration of this order, and two long-lived memos in
+   lockstep. *)
+let agrees ~memo ~oracle ~current ~desired =
+  let expect = Oracle.raw_distance ~current ~desired in
+  let fresh = Pgraph.Distance.distance (Pgraph.Distance.create ()) ~current ~desired in
+  let memoized = Pgraph.Distance.distance memo ~current ~desired in
+  let oracle_memoized = Oracle.distance oracle ~current ~desired in
+  let show = Option.fold ~none:"None" ~some:string_of_int in
+  if fresh <> expect || memoized <> oracle_memoized then
+    QCheck.Test.fail_reportf "current %s desired %s: distance %s, oracle %s; memoized %s and %s"
+      (pp_sizes current) (pp_sizes desired) (show fresh) (show expect) (show memoized)
+      (show oracle_memoized);
+  true
+
+(* The space of [syno search] over the convolution: [N, C_out, H, W] ->
+   [N, C_in, H, W], max_prims 8, coefficients k/s/g and the five
+   reduce candidates. *)
+let search_space =
+  lazy
+    (let open Syno.Zoo.Vars in
+     let base =
+       Search.Enumerate.default_config ~output_shape:[ sz n; sz c_out; sz h; sz w ]
+         ~desired_shape:[ sz n; sz c_in; sz h; sz w ]
+         ~valuations:Syno.Api.default_search_valuations ()
+     in
+     {
+       base with
+       Search.Enumerate.max_prims = 8;
+       coefficient_candidates = [ sz k; sz s; sz g ];
+       reduce_candidates =
+         Size.
+           [
+             sz c_in;
+             mul (var_pow g (-1)) (sz c_in);
+             mul (var_pow g (-1)) (mul (var_pow s (-1)) (sz c_out));
+             mul (var_pow s (-1)) (sz c_out);
+             sz k;
+           ];
+       frozen_sizes = [ sz n ];
+     })
+
+(* (a) Every successor frontier along one guided synthesis path. *)
+let test_distance_oracle_paths =
+  QCheck.Test.make ~name:"distance = oracle along guided synthesis paths" ~count:12
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let cfg = Lazy.force search_space in
+      let desired = cfg.Search.Enumerate.desired_shape in
+      let memo = Pgraph.Distance.create () and oracle = Oracle.create () in
+      let rng = Nd.Rng.create ~seed in
+      let rec walk depth g =
+        if depth < cfg.Search.Enumerate.max_prims then
+          let options =
+            List.filter_map
+              (fun (prim, g') ->
+                let current = Graph.frontier_sizes g' in
+                ignore (agrees ~memo ~oracle ~current ~desired);
+                match Oracle.distance oracle ~current ~desired with
+                | Some d when d <= cfg.Search.Enumerate.max_prims - depth - 1 -> Some (prim, g', d)
+                | Some _ | None -> None)
+              (Search.Enumerate.children cfg g)
+          in
+          match options with
+          | [] -> ()
+          | _ -> walk (depth + 1) (Search.Enumerate.pick_guided rng options)
+      in
+      walk 0 (Graph.init cfg.Search.Enumerate.output_shape);
+      true)
+
+(* (b) Random multisets over the zoo variables, up to 8 current dims
+   (as many as 5 units and 4 coefficient-only dims), and permutations
+   of each. *)
+let zoo_dims =
+  let open Syno.Zoo.Vars in
+  let per v = Size.var_pow v (-1) in
+  Size.
+    [|
+      sz n; sz c_in; sz c_out; sz h; sz w;
+      mul (per s) (sz h); mul (sz s) (sz w); mul (sz h) (sz w); mul (per g) (sz c_in);
+      mul (per g) (mul (per s) (sz c_out)); mul (sz k) (sz c_in); mul (sz g) (sz c_out);
+      sz k; sz s; sz g; mul (sz k) (sz s); mul (per g) (sz k); var_pow k 2;
+    |]
+
+let gen_distance_input =
+  let open QCheck.Gen in
+  let dim = map (fun i -> zoo_dims.(i)) (int_bound (Array.length zoo_dims - 1)) in
+  let* current = list_size (int_range 1 8) dim in
+  let* desired = list_size (int_range 1 4) dim in
+  let* perms =
+    list_repeat 3 (pair (shuffle_l current) (shuffle_l desired))
+  in
+  return (current, desired, perms)
+
+let arb_distance_input =
+  QCheck.make
+    ~print:(fun (c, d, _) -> Printf.sprintf "current %s desired %s" (pp_sizes c) (pp_sizes d))
+    gen_distance_input
+
+let test_distance_oracle_multisets =
+  let memo = Pgraph.Distance.create () and oracle = Oracle.create () in
+  QCheck.Test.make ~name:"distance = oracle on random multisets and permutations" ~count:150
+    arb_distance_input (fun (current, desired, perms) ->
+      List.for_all
+        (fun (current, desired) -> agrees ~memo ~oracle ~current ~desired)
+        ((current, desired) :: perms))
+
+(* (c) Inputs with more than [max_schemes] schemes.  Only the first
+   [max_schemes] in enumeration order are costed, so a capped result can
+   exceed the true minimum, or be [None] although a feasible scheme
+   exists: (current, desired, #schemes, true minimum, capped result). *)
+let capped_inputs =
+  let open Syno.Zoo.Vars in
+  let per v = Size.var_pow v (-1) in
+  let k2 = Size.var_pow k 2 in
+  Size.
+    [
+      ( [
+          mul (sz w) (sz s); k2; k2; k2; sz k; mul (per s) (sz h);
+          mul (per g) (mul (per s) (sz c_out)); sz n;
+        ],
+        [ k2; mul (per s) (sz h); sz w; mul (per g) (sz k) ],
+        37_152, Some 5, Some 6 );
+      ( [ mul (sz w) (sz s); sz k; sz c_out; sz s; sz k; mul (per g) (sz k); sz g; sz g ],
+        [ k2; mul (sz w) (sz s); mul (sz k) (sz s); sz g ],
+        26_981, Some 6, None );
+      (* The schemes are the set partitions of the 9 dims.  Only the
+         coarsenings of {4,5} {0,1,3,7} {2,6,8} (dims by position) are
+         feasible, and that partition, the unique best, is the
+         20 000th scheme: the last one the cap lets through. *)
+      (let p = Var.coefficient "p" and q = Var.coefficient "q" and r = Var.coefficient "r" in
+       ( [ var_pow q (-3); of_var q; var_pow r (-2); of_var q; var_pow p (-1); of_var p;
+           of_var r; of_var q; of_var r ],
+         [],
+         21_147, Some 6, Some 6 ));
+    ]
+
+let test_distance_oracle_capped () =
+  List.iter
+    (fun (current, desired, schemes, uncapped, capped) ->
+      let name = pp_sizes current ^ " -> " ^ pp_sizes desired in
+      Alcotest.(check int) (name ^ ": schemes") schemes
+        (List.length (Oracle.schemes ~current ~desired));
+      Alcotest.(check (option int))
+        (name ^ ": true minimum") uncapped
+        (Oracle.min_cost ~cap:max_int ~current ~desired ());
+      Alcotest.(check (option int))
+        (name ^ ": oracle") capped (Oracle.raw_distance ~current ~desired);
+      Alcotest.(check (option int))
+        (name ^ ": distance") capped
+        (Pgraph.Distance.distance (Pgraph.Distance.create ()) ~current ~desired))
+    capped_inputs
+
+(* The memo is keyed by multisets: a capped call keeps the result of
+   the first order seen, and a key never mixes up the two sides. *)
+let test_distance_memo_keys () =
+  let memo = Pgraph.Distance.create () in
+  let current, desired, _, _, capped = List.hd capped_inputs in
+  let reversed = List.rev current in
+  Alcotest.(check (option int)) "reversed order, fresh" None
+    (Pgraph.Distance.distance (Pgraph.Distance.create ()) ~current:reversed ~desired);
+  Alcotest.(check (option int)) "first order" capped
+    (Pgraph.Distance.distance memo ~current ~desired);
+  Alcotest.(check (option int)) "reversed order, memoized" capped
+    (Pgraph.Distance.distance memo ~current:reversed ~desired);
+  Alcotest.(check (option int)) "[H, H] -> [H]" (Some 1)
+    (Pgraph.Distance.distance memo ~current:[ sz h; sz h ] ~desired:[ sz h ]);
+  Alcotest.(check (option int)) "[H] -> [H, H]" None
+    (Pgraph.Distance.distance memo ~current:[ sz h ] ~desired:[ sz h; sz h ])
+
 (* --- FLOPs ---------------------------------------------------------------- *)
 
 let test_flops_matmul () =
@@ -353,6 +687,10 @@ let () =
           Alcotest.test_case "window elimination" `Quick test_distance_window_elimination;
           Alcotest.test_case "unreachable" `Quick test_distance_unreachable;
           Alcotest.test_case "conv prefix" `Quick test_distance_conv_prefix;
+          QCheck_alcotest.to_alcotest test_distance_oracle_paths;
+          QCheck_alcotest.to_alcotest test_distance_oracle_multisets;
+          Alcotest.test_case "capped = oracle" `Quick test_distance_oracle_capped;
+          Alcotest.test_case "memo keys" `Quick test_distance_memo_keys;
         ] );
       ( "flops",
         [
