@@ -440,6 +440,33 @@ let micro () =
   let g0 = Graph.init [ sz n; sz c_out; sz h; sz w ] in
   let g1 = Graph.apply_exn g0 (Prim.Reduce (sz c_in)) in
   let warm_dist = Pgraph.Distance.create () in
+  (* The perfbench search space and a state four guided steps into it,
+     where [children] rejects most candidate actions. *)
+  let space =
+    {
+      (search_space_cfg ~max_prims:8 ()) with
+      Search.Enumerate.reduce_candidates =
+        Size.
+          [
+            sz c_in;
+            mul (var_pow g (-1)) (sz c_in);
+            mul (var_pow g (-1)) (mul (var_pow s (-1)) (sz c_out));
+            mul (var_pow s (-1)) (sz c_out);
+            sz k;
+          ];
+    }
+  in
+  let mid_search =
+    let dist = Pgraph.Distance.create () and rng = Nd.Rng.create ~seed:1 in
+    let rec go depth g =
+      if depth = 4 then g
+      else
+        match Search.Enumerate.guided_children space dist g ~budget:(8 - depth - 1) with
+        | [] -> g
+        | options -> go (depth + 1) (Search.Enumerate.pick_guided rng options)
+    in
+    go 0 g0
+  in
   let valuation = Zoo.Vars.conv_valuation ~n:1 ~c_in:8 ~c_out:8 ~hw:8 ~k:3 ~g:2 ~s:2 () in
   let compiled = Lower.Reference.compile conv valuation in
   let rng = Nd.Rng.create ~seed:1 in
@@ -455,6 +482,8 @@ let micro () =
         Test.make ~name:"canon-check"
           (Staged.stage (fun () ->
                Pgraph.Canon.is_canonical cfg_canon g1 (Prim.Unfold (2, 4))));
+        Test.make ~name:"canon-children"
+          (Staged.stage (fun () -> Search.Enumerate.children space mid_search));
         Test.make ~name:"shape-distance"
           (Staged.stage (fun () ->
                Pgraph.Distance.distance

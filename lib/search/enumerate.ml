@@ -67,13 +67,7 @@ let candidate_actions cfg g =
 
 let children cfg g =
   if Graph.num_prims g >= cfg.max_prims then []
-  else
-    List.filter_map
-      (fun prim ->
-        match Canon.check cfg.canon g prim with
-        | Ok g' -> Some (prim, g')
-        | Error _ -> None)
-      (candidate_actions cfg g)
+  else Canon.successors cfg.canon g (candidate_actions cfg g)
 
 let try_complete cfg g =
   match Graph.complete g ~desired:cfg.desired_shape with

@@ -36,7 +36,8 @@ val candidate_actions : config -> Pgraph.Graph.t -> Pgraph.Prim.t list
 
 val children : config -> Pgraph.Graph.t -> (Pgraph.Prim.t * Pgraph.Graph.t) list
 (** All canonical applicable actions with their successor states
-    (EnumerateChildren in Algorithm 1). *)
+    (EnumerateChildren in Algorithm 1): {!Pgraph.Canon.successors} over
+    {!candidate_actions}. *)
 
 val try_complete : config -> Pgraph.Graph.t -> Pgraph.Graph.operator option
 (** Complete against the desired shape and check FLOPs/params budgets. *)

@@ -625,6 +625,257 @@ let test_distance_memo_keys () =
   Alcotest.(check (option int)) "[H] -> [H, H]" None
     (Pgraph.Distance.distance memo ~current:[ sz h ] ~desired:[ sz h; sz h ])
 
+(* --- Canonicalizer oracle ------------------------------------------------- *)
+
+(* The canonicalizer as it was before typed rejection reasons and
+   per-state staging: every rule reads the graph afresh and every
+   rejection formats its message.  [Canon.check] and [Canon.successors]
+   must accept exactly the actions it accepts, with equal successors,
+   and [Canon.reason_to_string] must print its messages.  It calls
+   [List.nth] before [Graph.apply] checks positions, so it is only fed
+   in-range actions. *)
+module Canon_oracle = struct
+  let ( let* ) r f = Result.bind r f
+  let fail fmt = Format.kasprintf (fun msg -> Error msg) fmt
+
+  let size_le ctx a b =
+    match Simplify.valuations ctx with
+    | [] -> false
+    | vs ->
+        List.for_all
+          (fun v ->
+            match (Valuation.size_opt v a, Valuation.size_opt v b) with
+            | Some x, Some y -> x <= y
+            | _, _ -> false)
+          vs
+
+  let check_budgets (cfg : Canon.config) g prim =
+    let over kind limit name =
+      if Graph.counts g ~kind + 1 > limit then fail "%s budget exceeded" name else Ok ()
+    in
+    match Prim.kind prim with
+    | Prim.K_expand -> over Prim.K_expand cfg.Canon.max_expand "Expand"
+    | Prim.K_stride -> over Prim.K_stride cfg.Canon.max_stride "Stride"
+    | Prim.K_shift -> over Prim.K_shift cfg.Canon.max_shift "Shift"
+    | Prim.K_reduce -> over Prim.K_reduce cfg.Canon.max_reduce "Reduce"
+    | Prim.K_split | Prim.K_merge | Prim.K_unfold | Prim.K_share | Prim.K_match -> Ok ()
+
+  let dim_has_reduction (d : Graph.dim) =
+    List.exists (fun it -> it.Ast.role = Ast.Reduction) (Ast.iters d.Graph.expr)
+
+  let check_contraction_rules (cfg : Canon.config) g prim =
+    let dim p = List.nth (Graph.frontier g) p in
+    match prim with
+    | Prim.Expand p ->
+        if (dim p).Graph.origin = Some Prim.K_reduce then
+          fail "Expand of a Reduce dim only scales the result"
+        else if dim_has_reduction (dim p) then fail "Expand of a reduced coordinate"
+        else Ok ()
+    | Prim.Unfold (p, w) ->
+        if dim_has_reduction (dim p) && dim_has_reduction (dim w) then
+          fail "Unfold allows at most one reduced coordinate"
+        else if not (size_le cfg.Canon.simplify_ctx (dim w).Graph.size (dim p).Graph.size) then
+          fail "Unfold window exceeds the main dimension"
+        else Ok ()
+    | Prim.Reduce n -> if Size.is_constant n && Size.constant n = 1 then fail "Reduce(1)" else Ok ()
+    | Prim.Match p -> (
+        let d = dim p in
+        match d.Graph.expr with
+        | Ast.Iter it when it.Ast.role = Ast.Reduction ->
+            let in_groups =
+              List.length
+                (List.filter (List.exists (fun j -> j.Ast.id = it.Ast.id)) (Graph.weights g))
+            in
+            let elsewhere_in_frontier =
+              List.exists
+                (fun (d' : Graph.dim) ->
+                  d' != d && List.exists (fun j -> j.Ast.id = it.Ast.id) (Ast.iters d'.Graph.expr))
+                (Graph.frontier g)
+            in
+            if in_groups >= 1 || elsewhere_in_frontier then Ok ()
+            else fail "Match would strand a reduction iterator in one weight group"
+        | Ast.Iter _ -> Ok ()
+        | Ast.Const _ | Ast.Size_const _ | Ast.Add _ | Ast.Sub _ | Ast.Mul _ | Ast.Div _
+        | Ast.Mod _ ->
+            Ok ())
+    | Prim.Split _ | Prim.Merge _ | Prim.Shift _ | Prim.Stride _ | Prim.Share _ -> Ok ()
+
+  let check_expr_normal_form (cfg : Canon.config) g g' prim =
+    if not (Prim.is_view (Prim.kind prim)) then Ok ()
+    else
+      let before = Graph.frontier g and after = Graph.frontier g' in
+      let fresh = List.filter (fun (d : Graph.dim) -> not (List.memq d before)) after in
+      let bad (d : Graph.dim) =
+        let simplified = Simplify.simplify cfg.Canon.simplify_ctx d.Graph.expr in
+        if not (Ast.equal simplified d.Graph.expr) then
+          Some
+            (Format.asprintf "%a is not in normal form (= %a)" Ast.pp d.Graph.expr Ast.pp
+               simplified)
+        else None
+      in
+      match List.filter_map bad fresh with [] -> Ok () | msg :: _ -> Error msg
+
+  let kind_rank = function
+    | Prim.K_shift -> 0
+    | Prim.K_stride -> 1
+    | Prim.K_merge -> 2
+    | Prim.K_split -> 3
+    | Prim.K_unfold -> 4
+    | Prim.K_expand -> 5
+    | Prim.K_reduce -> 6
+    | Prim.K_share -> 7
+    | Prim.K_match -> 8
+
+  let written_positions frontier_len = function
+    | Prim.Split (p, q) -> [ min p q ]
+    | Prim.Merge (p, _) -> [ p; p + 1 ]
+    | Prim.Shift p | Prim.Stride (p, _) | Prim.Share (p, _) -> [ p ]
+    | Prim.Unfold (p, w) -> [ (if w < p then p - 1 else p) ]
+    | Prim.Expand _ | Prim.Match _ -> []
+    | Prim.Reduce _ -> [ frontier_len - 1 ]
+
+  let action_key prim =
+    let pos = match Prim.positions prim with [] -> max_int | p :: _ -> p in
+    (kind_rank (Prim.kind prim), pos, prim)
+
+  let key_le (r1, p1, a1) (r2, p2, a2) =
+    r1 < r2 || (r1 = r2 && (p1 < p2 || (p1 = p2 && Prim.compare a1 a2 <= 0)))
+
+  let check_ordering g prim =
+    match Graph.last_prim g with
+    | None -> Ok ()
+    | Some last ->
+        let written = written_positions (List.length (Graph.frontier g)) last in
+        let read = Prim.positions prim in
+        let weight_action p =
+          match Prim.kind p with
+          | Prim.K_share | Prim.K_match -> true
+          | Prim.K_split | Prim.K_merge | Prim.K_shift | Prim.K_unfold | Prim.K_expand
+          | Prim.K_stride | Prim.K_reduce ->
+              false
+        in
+        let commute =
+          (not (List.exists (fun p -> List.mem p read) written))
+          && not (weight_action last && weight_action prim)
+        in
+        if (not commute) || key_le (action_key last) (action_key prim) then Ok ()
+        else fail "uncanonical ordering: %s then %s" (Prim.to_string last) (Prim.to_string prim)
+
+  let check_concrete_sizes (cfg : Canon.config) g' =
+    let ok size =
+      match Simplify.valuations cfg.Canon.simplify_ctx with
+      | [] -> true
+      | vs -> List.for_all (fun v -> Valuation.size_opt v size <> None) vs
+    in
+    if List.for_all (fun (d : Graph.dim) -> ok d.Graph.size) (Graph.frontier g') then Ok ()
+    else fail "a dimension size is not integral under some valuation"
+
+  let check (cfg : Canon.config) g prim =
+    let* () = check_budgets cfg g prim in
+    let* () = check_contraction_rules cfg g prim in
+    let* () = check_ordering g prim in
+    let* g' = Graph.apply g prim in
+    if List.length (Graph.frontier g') > cfg.Canon.max_frontier then fail "frontier too wide"
+    else
+      let* () = check_concrete_sizes cfg g' in
+      let* () = check_expr_normal_form cfg g g' prim in
+      Ok g'
+end
+
+(* Every candidate action on [g] gets the oracle's verdict from
+   [Canon.check] (message included), and [Canon.successors] returns the
+   oracle's accepted list.  Returns the accepted list. *)
+let canon_agrees (cfg : Search.Enumerate.config) g =
+  let failf fmt = Printf.ksprintf failwith fmt in
+  let ccfg = cfg.Search.Enumerate.canon in
+  let actions = Search.Enumerate.candidate_actions cfg g in
+  let expect =
+    List.filter_map
+      (fun prim ->
+        let oracle = Canon_oracle.check ccfg g prim in
+        (match (oracle, Canon.check ccfg g prim) with
+        | Ok g1, Ok g2 when g1 = g2 -> ()
+        | Ok _, Ok _ -> failf "%s: successors differ" (Prim.to_string prim)
+        | Error m1, Error r when m1 = Canon.reason_to_string r -> ()
+        | Error m1, Error r ->
+            failf "%s: message %S, oracle %S" (Prim.to_string prim)
+              (Canon.reason_to_string r) m1
+        | Ok _, Error r ->
+            failf "%s: rejected (%s), oracle accepts" (Prim.to_string prim)
+              (Canon.reason_to_string r)
+        | Error m1, Ok _ ->
+            failf "%s: accepted, oracle rejects (%s)" (Prim.to_string prim) m1);
+        Result.to_option (Result.map (fun g' -> (prim, g')) oracle))
+      actions
+  in
+  let got = Canon.successors ccfg g actions in
+  if got <> expect then
+    failf "successors: %d accepted, oracle %d (or a different order)"
+      (List.length got) (List.length expect);
+  got
+
+let test_canon_oracle_paths =
+  QCheck.Test.make ~name:"canon = oracle along guided synthesis paths" ~count:10
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let cfg = Lazy.force search_space in
+      let desired = cfg.Search.Enumerate.desired_shape in
+      let dist = Pgraph.Distance.create () in
+      let rng = Nd.Rng.create ~seed in
+      let rec walk depth g =
+        let accepted = canon_agrees cfg g in
+        if depth < cfg.Search.Enumerate.max_prims then
+          let options =
+            List.filter_map
+              (fun (prim, g') ->
+                match Pgraph.Distance.distance dist ~current:(Graph.frontier_sizes g') ~desired with
+                | Some d when d <= cfg.Search.Enumerate.max_prims - depth - 1 -> Some (prim, g', d)
+                | Some _ | None -> None)
+              accepted
+          in
+          match options with
+          | [] -> ()
+          | _ -> walk (depth + 1) (Search.Enumerate.pick_guided rng options)
+      in
+      walk 0 (Graph.init cfg.Search.Enumerate.output_shape);
+      true)
+
+(* A parent whose frontier holds k/g (3/2 under the search valuations):
+   a successor that keeps the dim is rejected, and [Expand] of it is
+   accepted, by both. *)
+let test_canon_oracle_non_integral_parent () =
+  let cfg = Lazy.force search_space in
+  let open Syno.Zoo.Vars in
+  let bad = Size.mul (sz k) (Size.var_pow g (-1)) in
+  let g0 = Graph.init [ sz n; bad; sz h; sz w ] in
+  let accepted = canon_agrees cfg g0 in
+  Alcotest.(check bool) "Expand of the non-integral dim accepted" true
+    (List.mem_assoc (Prim.Expand 1) accepted);
+  Alcotest.(check bool) "Shift of another dim rejected" false
+    (List.mem_assoc (Prim.Shift 2) accepted);
+  (* One step further: the staged verdicts carry over to a state that
+     still holds the dim. *)
+  let g1 = Graph.apply_exn g0 (Prim.Reduce (sz k)) in
+  ignore (canon_agrees cfg g1)
+
+(* Positions outside the frontier are a typed rejection, never an
+   exception, whichever rule reads them first. *)
+let test_canon_out_of_range () =
+  let cfg = Lazy.force search_space in
+  let root = Graph.init cfg.Search.Enumerate.output_shape in
+  List.iter
+    (fun prim ->
+      match Canon.check cfg.Search.Enumerate.canon root prim with
+      | Error Canon.Position_out_of_range -> ()
+      | Error r -> Alcotest.failf "%s: %s" (Prim.to_string prim) (Canon.reason_to_string r)
+      | Ok _ -> Alcotest.failf "%s accepted" (Prim.to_string prim))
+    Prim.
+      [
+        Expand 9; Unfold (9, 1); Unfold (1, 9); Match 9; Expand (-1); Split (9, 1); Shift 9;
+      ];
+  Alcotest.(check int) "successors skip them" 0
+    (List.length (Canon.successors cfg.Search.Enumerate.canon root Prim.[ Expand 9; Match 9 ]))
+
 (* --- FLOPs ---------------------------------------------------------------- *)
 
 let test_flops_matmul () =
@@ -678,6 +929,10 @@ let () =
           Alcotest.test_case "budgets" `Quick test_budgets;
           Alcotest.test_case "reduce(1)" `Quick test_reduce_one_rejected;
           Alcotest.test_case "unfold window size" `Quick test_unfold_window_size;
+          Alcotest.test_case "out-of-range positions" `Quick test_canon_out_of_range;
+          QCheck_alcotest.to_alcotest test_canon_oracle_paths;
+          Alcotest.test_case "oracle, non-integral parent" `Quick
+            test_canon_oracle_non_integral_parent;
         ] );
       ( "distance",
         [

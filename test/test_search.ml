@@ -339,6 +339,31 @@ let test_reward_ordering () =
   Alcotest.(check (float 0.0)) "over budget scores zero" 0.0
     (Reward.score ~flops_budget:budget Syno.Zoo.conv2d.Syno.Zoo.operator conv_valuation)
 
+(* The results of the benchmarked search configuration (conv space,
+   max_prims 8, FLOPs budget ratio 1.0, one domain, admission gate on)
+   at 1000 iterations, pinned as the MD5 of their "signature reward(%h)"
+   lines: a change to the synthesis hot path must leave them
+   bit-identical. *)
+let test_search_results_pinned () =
+  List.iter
+    (fun (seed, digest) ->
+      let run =
+        Syno.Api.search_conv_operators_run ~iterations:1000 ~max_prims:8 ~flops_budget_ratio:1.0
+          ~domains:1 ~validate:true ~rng:(Nd.Rng.create ~seed)
+          ~valuations:Syno.Api.default_search_valuations ()
+      in
+      let lines =
+        List.map
+          (fun (c : Syno.Api.candidate) ->
+            Printf.sprintf "%s %h" c.Syno.Api.signature c.Syno.Api.reward)
+          run.Syno.Api.candidates
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "seed %d digest" seed)
+        digest
+        (Digest.to_hex (Digest.string (String.concat "\n" lines))))
+    [ (1, "1536b72919bc9fa98aa15f906c53e981"); (2, "ab9ce07bc9cb06d60d2942119cca08e3") ]
+
 let () =
   Alcotest.run "search"
     [
@@ -372,6 +397,8 @@ let () =
           Alcotest.test_case "cancellation partial" `Quick
             test_single_tree_cancellation_partial;
         ] );
+      ( "pinned",
+        [ Alcotest.test_case "search results (seeds 1, 2)" `Quick test_search_results_pinned ] );
       ( "reward",
         [
           Alcotest.test_case "features" `Quick test_reward_features;
